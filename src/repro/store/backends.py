@@ -1,26 +1,39 @@
 """Pluggable persistence backends for the obligation store.
 
 The store's transport layer is a :class:`StoreBackend`: a thin module that
-owns the bytes (or rows) on disk and nothing else — entry semantics,
-invalidation, GC and session bookkeeping all live in
+owns the bytes (or rows) on disk and nothing else — entry semantics, GC and
+session bookkeeping live in
 :class:`~repro.store.obligation_store.ObligationStore`, which talks to its
-backend through three operations:
+backend through five operations:
 
 ``load(wipe_mismatch)``
-    Read everything (entries, run log, count of skipped corrupt records),
-    discarding wholesale on a schema-tag mismatch.
+    Read everything (entries, the last :data:`MAX_RUN_RECORDS` run records,
+    count of skipped corrupt records), discarding wholesale on a schema-tag
+    mismatch.
 ``append_entries(entries)``
     Durably append a batch.  Atomic with respect to concurrent appenders and
     rewriters: a reader can never observe a torn entry.
+``invalidate(scope, method, spec, library) -> dropped``
+    Drop the entries a spec/library edit made stale (:func:`stale_entry_keys`)
+    from the **current** on-disk state, under the exclusive lock (or write
+    transaction).  When nothing is stale — the warm, unedited case — nothing
+    is written at all.
+``commit_run(touched) -> run``
+    Append one run record under the next sequence number of the run log as
+    it is on disk now, so concurrent committers never share a number.
 ``update(fn, entries=, runs=)``
-    The read-modify-rewrite primitive behind ``compact()``/``commit_run()``/
-    ``gc()``/``invalidate_stale()``.  The backend takes an *exclusive* lock
-    (or write transaction), re-reads the **current** on-disk state — not the
-    caller's possibly stale open-time snapshot — applies ``fn`` to it, and
-    persists the result atomically.  This is what makes two concurrent
-    processes unable to silently drop each other's entries: any state another
-    writer appended between our ``load()`` and the rewrite is re-read under
-    the lock and flows through ``fn``.
+    The generic read-modify-rewrite primitive behind the rare whole-store
+    operations, ``compact()`` and ``gc()``.  The backend takes an
+    *exclusive* lock (or write transaction), re-reads the **current**
+    on-disk state — not the caller's possibly stale open-time snapshot —
+    applies ``fn`` to it, and persists the result atomically.  This is what
+    makes two concurrent processes unable to silently drop each other's
+    entries: any state another writer appended between our ``load()`` and
+    the rewrite is re-read under the lock and flows through ``fn``.
+
+The run log is bounded: readers always see the last :data:`MAX_RUN_RECORDS`
+records, and how each backend keeps it there is decided in this module
+alone.
 
 Two backends implement the protocol:
 
@@ -29,14 +42,22 @@ Two backends implement the protocol:
   ``flock`` on ``<dir>/.lock`` and lands as a *single* ``write()`` of the
   pre-joined batch (no interleaved partial lines), and every rewrite goes
   through tmp-file + ``fsync`` + ``os.replace`` (+ directory fsync), so a
-  crash mid-compact can never truncate the store.
+  crash mid-compact can never truncate the store.  ``.lock`` also holds a
+  *generation number* every locked mutation bumps before it writes: the
+  backend keeps the entries and run log it last read or wrote itself and,
+  under the lock, reuses them only while the generation and each file's
+  ``(inode, size, mtime_ns)`` still match — anything else re-reads.  The
+  run log is append-only (one fsynced line per commit) and is rewritten
+  down to :data:`MAX_RUN_RECORDS` records only when it reaches twice that.
 * :class:`SqliteStoreBackend` — one SQLite file in WAL mode with a busy
   timeout and short retry loop, entries UPSERTed on the
   ``(environment_fp, obligation_fp)`` primary key, with ``deps``/``costs``/
   ``runs`` tables mirroring the JSONL layout's dependency records, cost
   records and ``runs.jsonl``.  WAL makes readers never block writers, and
   ``BEGIN IMMEDIATE`` transactions serialise the multi-writer case the
-  JSONL lock file serialises.
+  JSONL lock file serialises.  Invalidation finds the stale keys through
+  the indexed ``deps`` table and deletes just those rows; a run commit is
+  one ``INSERT`` plus a bounded ``DELETE`` of the oldest runs.
 
 Backend selection (:func:`resolve_store_backend`): an explicit choice wins;
 otherwise ``sqlite:`` URLs and ``.db``/``.sqlite``/``.sqlite3`` suffixes (or
@@ -80,6 +101,10 @@ _RUNS = "runs.jsonl"
 _SHARD_DIR = "shards"
 _LOCK = ".lock"
 _SQLITE_SUFFIXES = {".db", ".sqlite", ".sqlite3"}
+
+#: readers see (and ``gc --keep-last`` can reach back over) at most this many
+#: most-recent run records
+MAX_RUN_RECORDS = 256
 
 
 @dataclass
@@ -201,11 +226,18 @@ def _decode_entry_lines(raw: bytes) -> tuple[dict[tuple[str, str], StoreEntry], 
     return entries, skipped
 
 
-def _decode_run_lines(raw: bytes) -> list[dict]:
+def _decode_run_lines(raw: bytes) -> tuple[list[dict], int]:
+    """Parse the run log: ``(valid records, non-blank lines)``.
+
+    Malformed records are dropped; the line count tells a caller whether the
+    file holds any (it then differs from the number of records).
+    """
     runs: list[dict] = []
+    lines = 0
     for line in raw.splitlines():
         if not line.strip():
             continue
+        lines += 1
         try:
             record = json.loads(line.decode("utf-8"))
         except ValueError:
@@ -216,30 +248,98 @@ def _decode_run_lines(raw: bytes) -> list[dict]:
             and isinstance(record.get("run"), int)
         ):
             runs.append(record)
-    return runs
+    return runs, lines
+
+
+def stale_entry_keys(
+    entries: dict[tuple[str, str], StoreEntry],
+    scope: str,
+    method: str,
+    spec_digest: str,
+    library_digest: str,
+) -> list[tuple[str, str]]:
+    """Keys a spec/library edit invalidates.
+
+    An entry of ``scope`` is stale when the benchmark's library digest
+    changed (every method's obligations sat on its axioms and alphabets) or
+    when it belongs to ``method`` and that method's spec digest changed.
+    Entries of other scopes never are.
+    """
+    return [
+        key
+        for key, entry in entries.items()
+        if entry.scope == scope
+        and (
+            entry.library != library_digest
+            or (entry.method == method and entry.spec != spec_digest)
+        )
+    ]
 
 
 @contextmanager
-def _flocked(lock_path: Path) -> Iterator[None]:
-    """Hold an exclusive advisory lock on ``lock_path``.
+def _flocked(lock_path: Path) -> Iterator[Optional[int]]:
+    """Hold an exclusive advisory lock on ``lock_path``; yields its fd.
 
     Best-effort no-op where ``fcntl`` is unavailable (non-POSIX) — there the
-    store degrades to its historical single-writer guarantees.
+    store degrades to its historical single-writer guarantees, and yields
+    ``None``.
     """
     if fcntl is None:  # pragma: no cover
-        yield
+        lock_path.parent.mkdir(parents=True, exist_ok=True)
+        yield None
         return
-    fd = os.open(lock_path, os.O_RDWR | os.O_CREAT, 0o644)
+    try:
+        fd = os.open(lock_path, os.O_RDWR | os.O_CREAT, 0o644)
+    except FileNotFoundError:
+        # first use of the store: create its directory (off the hot path —
+        # every later lock is one open)
+        lock_path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(lock_path, os.O_RDWR | os.O_CREAT, 0o644)
     try:
         # spanned separately from the critical section: under writer
         # contention this is pure queueing time, the number the trace needs
         # to distinguish "store is slow" from "store is fought over"
         with trace.span("store.lock_wait", cat="store"):
             fcntl.flock(fd, fcntl.LOCK_EX)
-        yield
+        yield fd
     finally:
         fcntl.flock(fd, fcntl.LOCK_UN)
         os.close(fd)
+
+
+def _read_generation(lock_fd: Optional[int]) -> Optional[int]:
+    """The generation number held in the (locked) ``.lock`` file.
+
+    ``None`` without a lock: nothing cached may then be trusted.
+    """
+    if lock_fd is None:  # pragma: no cover - non-POSIX
+        return None
+    raw = os.pread(lock_fd, 32, 0)
+    try:
+        return int(raw.strip() or b"0")
+    except ValueError:
+        return 0
+
+
+def _write_generation(lock_fd: int, generation: int) -> None:
+    data = b"%d\n" % generation
+    os.pwrite(lock_fd, data, 0)
+    os.ftruncate(lock_fd, len(data))
+
+
+FileStamp = Optional[tuple[int, int, int]]
+
+
+def _stamp(st: os.stat_result) -> tuple[int, int, int]:
+    return (st.st_ino, st.st_size, st.st_mtime_ns)
+
+
+def _path_stamp(path: Path) -> FileStamp:
+    """``(inode, size, mtime_ns)`` of ``path``, or ``None`` when it is absent."""
+    try:
+        return _stamp(os.stat(path))
+    except FileNotFoundError:
+        return None
 
 
 def _fsync_dir(path: Path) -> None:
@@ -303,8 +403,9 @@ class JsonlStoreBackend:
 
     ``<dir>/meta.json`` carries the schema tag, ``<dir>/entries.jsonl`` the
     append-only entry log (last line per key wins), ``<dir>/runs.jsonl`` the
-    GC reference trail, ``<dir>/shards/`` the transient shard outputs and
-    ``<dir>/.lock`` the advisory lock every append and rewrite holds.
+    append-only GC reference trail, ``<dir>/shards/`` the transient shard
+    outputs and ``<dir>/.lock`` the advisory lock every append and rewrite
+    holds, plus the generation number they bump.
     """
 
     name = "jsonl"
@@ -321,25 +422,83 @@ class JsonlStoreBackend:
                 "needs a directory (did you mean the sqlite backend?)"
             )
         self.shard_dir = self.path / _SHARD_DIR
+        #: file name -> (generation, stamp, decoded contents) as this
+        #: instance last read or wrote it; trusted under the lock only while
+        #: both the generation and the file's stamp still match.  The decoded
+        #: contents are never handed out — callers get copies.
+        self._snapshots: dict[str, tuple[Optional[int], FileStamp, object]] = {}
 
     def _lock(self):
-        self.path.mkdir(parents=True, exist_ok=True)
         return _flocked(self.path / _LOCK)
 
-    def _read_entries(self) -> tuple[dict[tuple[str, str], StoreEntry], int]:
-        entries_path = self.path / _ENTRIES
-        if not entries_path.exists():
-            return {}, 0
-        return _decode_entry_lines(entries_path.read_bytes())
+    # -- the decoded-file cache (call with the lock held) -------------------------
+    def _fresh(self, name: str, generation: Optional[int]):
+        """The cached contents of ``name`` if nothing changed it since, else None."""
+        cached = self._snapshots.get(name)
+        if generation is None or cached is None or cached[0] != generation:
+            return None
+        if cached[1] != _path_stamp(self.path / name):
+            return None  # edited without bumping the generation
+        return cached[2]
 
-    def _read_runs(self) -> list[dict]:
+    def _read(self, name: str, generation: Optional[int], decode: Callable):
+        """The decoded contents of ``name``: the cached copy, or a re-read."""
+        value = self._fresh(name, generation)
+        if value is not None:
+            return value
+        try:
+            with open(self.path / name, "rb") as handle:
+                stamp: FileStamp = _stamp(os.fstat(handle.fileno()))
+                value = decode(handle.read())
+        except FileNotFoundError:
+            stamp, value = None, decode(b"")
+        self._snapshots[name] = (generation, stamp, value)
+        return value
+
+    def _bump(self, lock_fd: Optional[int], generation: Optional[int]) -> Optional[int]:
+        """Advance the generation before a locked write; returns the new one.
+
+        Snapshots valid at the old generation stay valid at the new one — we
+        hold the lock, so the only change to come is our own write, which
+        replaces (or drops) the snapshot of the file it touches.
+        """
+        if lock_fd is None or generation is None:  # pragma: no cover - non-POSIX
+            self._snapshots.clear()
+            return None
+        bumped = generation + 1
+        _write_generation(lock_fd, bumped)
+        for name, (seen, stamp, value) in list(self._snapshots.items()):
+            if seen == generation:
+                self._snapshots[name] = (bumped, stamp, value)
+        return bumped
+
+    def _wrote(self, name: str, generation: Optional[int], value: object) -> None:
+        self._snapshots[name] = (generation, _path_stamp(self.path / name), value)
+
+    def _write_entries(
+        self, generation: Optional[int], entries: dict[tuple[str, str], StoreEntry]
+    ) -> None:
+        _atomic_write(
+            self.path / _ENTRIES,
+            "".join(e.to_json() + "\n" for e in entries.values()).encode(),
+        )
+        self._wrote(_ENTRIES, generation, (entries, 0))
+
+    def _write_runs(self, generation: Optional[int], runs: list[dict]) -> None:
         runs_path = self.path / _RUNS
-        if not runs_path.exists():
-            return []
-        return _decode_run_lines(runs_path.read_bytes())
+        if runs:
+            _atomic_write(
+                runs_path,
+                "".join(json.dumps(r, sort_keys=True) + "\n" for r in runs).encode(),
+            )
+        elif runs_path.exists():
+            runs_path.unlink()
+        self._wrote(_RUNS, generation, (runs, len(runs)))
 
+    # -- the backend protocol -----------------------------------------------------
     def load(self, *, wipe_mismatch: bool = True) -> LoadedState:
-        with self._lock():
+        with self._lock() as lock_fd:
+            generation = _read_generation(lock_fd)
             meta_path = self.path / _META
             schema: Optional[str] = None
             if meta_path.exists():
@@ -353,6 +512,8 @@ class JsonlStoreBackend:
                 # sharded run, which absorb_shards would otherwise merge later
                 if not wipe_mismatch:
                     return LoadedState({}, [])
+                self._bump(lock_fd, generation)
+                self._snapshots.clear()
                 for name in (_ENTRIES, _RUNS):
                     stale = self.path / name
                     if stale.exists():
@@ -362,15 +523,65 @@ class JsonlStoreBackend:
                     meta_path, (json.dumps({"schema": SCHEMA_VERSION}) + "\n").encode()
                 )
                 return LoadedState({}, [])
-            entries, skipped = self._read_entries()
-            runs = self._read_runs()
-            return LoadedState(entries, runs, skipped)
+            entries, skipped = self._read(_ENTRIES, generation, _decode_entry_lines)
+            runs, _lines = self._read(_RUNS, generation, _decode_run_lines)
+            return LoadedState(dict(entries), runs[-MAX_RUN_RECORDS:], skipped)
 
     def append_entries(self, entries: Sequence[StoreEntry]) -> None:
         if not entries:
             return
-        with self._lock():
+        with self._lock() as lock_fd:
+            generation = _read_generation(lock_fd)
+            cached = self._fresh(_ENTRIES, generation)
+            generation = self._bump(lock_fd, generation)
             append_jsonl_batch(self.path / _ENTRIES, [e.to_json() for e in entries])
+            if cached is None:
+                self._snapshots.pop(_ENTRIES, None)
+                return
+            known, skipped = cached
+            for entry in entries:
+                known[entry.key] = entry
+            self._wrote(_ENTRIES, generation, (known, skipped))
+
+    def invalidate(
+        self, scope: str, method: str, spec_digest: str, library_digest: str
+    ) -> int:
+        """Drop the stale entries on disk; rewrites only if any are stale."""
+        with self._lock() as lock_fd:
+            generation = _read_generation(lock_fd)
+            entries, _skipped = self._read(_ENTRIES, generation, _decode_entry_lines)
+            stale = set(
+                stale_entry_keys(entries, scope, method, spec_digest, library_digest)
+            )
+            if not stale:
+                return 0
+            generation = self._bump(lock_fd, generation)
+            self._write_entries(
+                generation,
+                {key: entry for key, entry in entries.items() if key not in stale},
+            )
+            return len(stale)
+
+    def commit_run(self, touched: Sequence[str]) -> int:
+        """Append one run record; returns its sequence number.
+
+        One fsynced line per commit.  The file is rewritten — down to the
+        last :data:`MAX_RUN_RECORDS` records — only when it reaches twice
+        that many lines, or when it holds malformed lines to shed.
+        """
+        with self._lock() as lock_fd:
+            generation = _read_generation(lock_fd)
+            runs, lines = self._read(_RUNS, generation, _decode_run_lines)
+            sequence = (runs[-1]["run"] + 1) if runs else 1
+            record = {"run": sequence, "touched": list(touched)}
+            generation = self._bump(lock_fd, generation)
+            runs = runs + [record]
+            if lines != len(runs) - 1 or len(runs) >= 2 * MAX_RUN_RECORDS:
+                self._write_runs(generation, runs[-MAX_RUN_RECORDS:])
+            else:
+                append_jsonl_batch(self.path / _RUNS, [json.dumps(record, sort_keys=True)])
+                self._wrote(_RUNS, generation, (runs, len(runs)))
+            return sequence
 
     def update(
         self,
@@ -389,29 +600,24 @@ class JsonlStoreBackend:
         since then survive the rewrite.  ``entries=False``/``runs=False``
         skip reading and rewriting that half (``fn`` then sees it empty).
         """
-        with self._lock():
+        with self._lock() as lock_fd:
+            generation = _read_generation(lock_fd)
             disk_entries: dict[tuple[str, str], StoreEntry] = {}
             skipped = 0
             if entries:
-                disk_entries, skipped = self._read_entries()
-            disk_runs = self._read_runs() if runs else []
-            new_entries, new_runs = fn(disk_entries, disk_runs)
-            if entries:
-                _atomic_write(
-                    self.path / _ENTRIES,
-                    "".join(e.to_json() + "\n" for e in new_entries.values()).encode(),
-                )
+                cached, skipped = self._read(_ENTRIES, generation, _decode_entry_lines)
+                disk_entries = dict(cached)
+            disk_runs: list[dict] = []
             if runs:
-                runs_path = self.path / _RUNS
-                if new_runs:
-                    _atomic_write(
-                        runs_path,
-                        "".join(
-                            json.dumps(r, sort_keys=True) + "\n" for r in new_runs
-                        ).encode(),
-                    )
-                elif runs_path.exists():
-                    runs_path.unlink()
+                disk_runs = self._read(_RUNS, generation, _decode_run_lines)[0][
+                    -MAX_RUN_RECORDS:
+                ]
+            new_entries, new_runs = fn(disk_entries, disk_runs)
+            generation = self._bump(lock_fd, generation)
+            if entries:
+                self._write_entries(generation, dict(new_entries))
+            if runs:
+                self._write_runs(generation, list(new_runs))
             return LoadedState(new_entries, new_runs, skipped)
 
     def close(self) -> None:
@@ -686,6 +892,49 @@ class SqliteStoreBackend:
         with self._txn() as conn:
             for entry in entries:
                 self._upsert(conn, entry)
+
+    def invalidate(
+        self, scope: str, method: str, spec_digest: str, library_digest: str
+    ) -> int:
+        """Delete the stale rows, found through the indexed ``deps`` table.
+
+        The same predicate as :func:`stale_entry_keys`; when it selects
+        nothing, the transaction commits without writing a page.
+        """
+        with self._txn() as conn:
+            stale = conn.execute(
+                """
+                SELECT env, fp FROM deps
+                WHERE scope = ? AND (library != ? OR (method = ? AND spec != ?))
+                """,
+                (scope, library_digest, method, spec_digest),
+            ).fetchall()
+            if not stale:
+                return 0
+            dropped = conn.executemany(
+                "DELETE FROM entries WHERE env = ? AND fp = ?", stale
+            ).rowcount
+            for table in ("deps", "costs"):
+                conn.executemany(f"DELETE FROM {table} WHERE env = ? AND fp = ?", stale)
+            return dropped
+
+    def commit_run(self, touched: Sequence[str]) -> int:
+        """Insert one run record and trim the table to the newest runs."""
+        with self._txn() as conn:
+            (last,) = conn.execute("SELECT COALESCE(MAX(run), 0) FROM runs").fetchone()
+            sequence = last + 1
+            conn.execute(
+                "INSERT INTO runs(run, touched) VALUES(?, ?)",
+                (sequence, json.dumps(list(touched))),
+            )
+            conn.execute(
+                """
+                DELETE FROM runs WHERE run <
+                    (SELECT run FROM runs ORDER BY run DESC LIMIT 1 OFFSET ?)
+                """,
+                (MAX_RUN_RECORDS - 1,),
+            )
+            return sequence
 
     def update(
         self,

@@ -24,17 +24,20 @@ forced via ``backend=``/``REPRO_STORE_BACKEND``:
   ``(env, fp)`` primary key;
 * the **remote** backend (an ``http://``/``https://`` store path) is a
   client for ``repro store serve``: the session mirrors only the entries it
-  batch-fetched or wrote, and every read-modify-rewrite operation below runs
-  *server-side* under the wrapped backend's lock — ``update(fn)`` closures
-  cannot cross the wire, so the wire speaks store-level operations instead
-  (see :mod:`repro.store.remote` and :mod:`repro.store.server`).
+  batch-fetched or wrote, and every mutation below runs *server-side* under
+  the wrapped backend's lock — ``update(fn)`` closures cannot cross the
+  wire, so the wire speaks store-level operations instead (see
+  :mod:`repro.store.remote` and :mod:`repro.store.server`).
 
 Either way the store is safe under concurrent writer processes: appends can
-never interleave partial entries, and the read-modify-rewrite operations
-(:meth:`compact`, :meth:`invalidate_stale`, :meth:`commit_run`, :meth:`gc`)
-re-read the on-disk state under an exclusive lock/transaction before
-rewriting, so entries appended by another process since :meth:`_load` are
-never silently dropped.  Corrupt or torn records (a killed writer's partial
+never interleave partial entries, and every mutation (:meth:`compact`,
+:meth:`invalidate_stale`, :meth:`commit_run`, :meth:`gc`) works on the
+on-disk state as it is under an exclusive lock/transaction, so entries
+appended by another process since :meth:`_load` are never silently dropped.
+Invalidation and run commits are backend primitives with the same shape on
+every backend — a no-op invalidation writes nothing and a commit appends one
+record — while the rare :meth:`compact`/:meth:`gc` go through the generic
+locked rewrite.  Corrupt or torn records (a killed writer's partial
 line) are skipped and counted — see ``summary()["skipped"]`` — never fatal.
 
 Invalidation is dependency-tracked: when a method is about to be verified,
@@ -65,52 +68,33 @@ from ..obs import trace
 from ..obs.logs import get_logger
 from .backends import (
     ENTRY_DECODE_ERRORS,
+    MAX_RUN_RECORDS,
     SCHEMA_VERSION,
     LoadedState,
     StoreEntry,
     append_jsonl_batch,
     open_backend,
+    stale_entry_keys,
 )
-
-#: the run log is trimmed to this many most-recent records on commit
-_MAX_RUN_RECORDS = 256
 
 logger = get_logger("store")
 
 
-# ---------------------------------------------------------------------------
-# The pure halves of the read-modify-rewrite operations.  Factored out so the
-# local store and the ``repro store serve`` service run the *same* logic —
-# one executes it in-process under the backend lock, the other server-side
-# on a client's behalf.
-# ---------------------------------------------------------------------------
+def validate_keep_last(keep_last: object) -> int:
+    """``gc --keep-last``'s bounds: at least one run, at most the run log.
 
-
-def stale_entry_keys(
-    entries: dict[tuple[str, str], StoreEntry],
-    scope: str,
-    method: str,
-    spec_digest: str,
-    library_digest: str,
-) -> list[tuple[str, str]]:
-    """Keys invalidated by a spec/library edit (see :meth:`invalidate_stale`)."""
-    return [
-        key
-        for key, entry in entries.items()
-        if entry.scope == scope
-        and (
-            entry.library != library_digest
-            or (entry.method == method and entry.spec != spec_digest)
+    The run log holds the last :data:`MAX_RUN_RECORDS` runs, so a larger N
+    could not keep what runs beyond them referenced — it is rejected rather
+    than silently acting as :data:`MAX_RUN_RECORDS`.
+    """
+    if not isinstance(keep_last, int) or keep_last < 1:
+        raise ValueError("gc requires keep_last >= 1")
+    if keep_last > MAX_RUN_RECORDS:
+        raise ValueError(
+            f"gc keep_last {keep_last} exceeds the {MAX_RUN_RECORDS} runs the "
+            f"run log holds; use keep_last <= {MAX_RUN_RECORDS}"
         )
-    ]
-
-
-def append_run_record(runs: list[dict], touched: list[str]) -> tuple[list[dict], int]:
-    """Append one run record, trimmed; returns ``(runs, sequence number)``."""
-    sequence = (runs[-1]["run"] + 1) if runs else 1
-    runs.append({"run": sequence, "touched": list(touched)})
-    del runs[:-_MAX_RUN_RECORDS]
-    return runs, sequence
+    return keep_last
 
 
 def sweep_unreferenced(
@@ -185,7 +169,9 @@ class ObligationStore:
         #: (env, fp) keys referenced (hit or written) since the last
         #: :meth:`commit_run` — the session bookkeeping behind store GC
         self._touched: dict[tuple[str, str], None] = {}
-        #: the persisted run log: one ``{"run": n, "touched": [...]}`` per run
+        #: the run log as loaded (or as a gc left it): one
+        #: ``{"run": n, "touched": [...]}`` per run; commits append on disk
+        #: only
         self._runs: list[dict] = []
         #: remote mode only — ``(env, fp)`` keys a batched lookup already
         #: checked against the server, found or not; a key in here but not in
@@ -370,58 +356,35 @@ class ObligationStore:
 
         An entry of ``scope`` dies when the benchmark's library digest changed
         (every method's obligations sat on its axioms and alphabets) or when
-        it belongs to ``method`` and that method's spec digest changed.
-        Entries of other scopes are never touched.
+        it belongs to ``method`` and that method's spec digest changed (see
+        :func:`~repro.store.backends.stale_entry_keys`).  Entries of other
+        scopes are never touched.  Returns how many entries were dropped —
+        on disk, where another process may have written stale entries this
+        session never saw.
         """
-
         local_stale = stale_entry_keys(
             self._entries, scope, method, spec_digest, library_digest
         )
-        if self.shard_output is not None or (not self.is_remote and not local_stale):
-            # shard children never rewrite the shared log; and when a local
-            # session's view has nothing stale, skip the locked rewrite —
-            # the overwhelmingly common (warm, unedited) case stays cheap
-            for key in local_stale:
-                del self._entries[key]
-                self._session_writes.pop(key, None)
-            return len(local_stale)
-
-        if self.is_remote:
-            # the server drops stale entries under its lock; flush first so
-            # this session's (never-stale: they carry the current digests)
-            # writes are not raced by the rewrite, then retire the mirror's
-            # stale view — a dropped key is a *known* miss from here on
+        dropped = len(local_stale)
+        # shard children never rewrite the shared log; a local session whose
+        # view has nothing stale skips the backend round altogether — the
+        # overwhelmingly common (warm, unedited) case stays cheap.  A remote
+        # session's mirror is partial, so it always asks the server.
+        if self.shard_output is None and (self.is_remote or local_stale):
+            # flush first: this session's writes must be on disk before the
+            # backend decides what is stale there
             self.flush()
             with trace.span("store.invalidate", cat="store"):
                 dropped = self.backend.invalidate(
                     scope, method, spec_digest, library_digest
                 )
-            for key in local_stale:
-                del self._entries[key]
-                self._session_writes.pop(key, None)
-                self._remote_checked.add(key)
-            logger.debug(
-                "invalidated %d stale entries for %s.%s (remote)", dropped, scope, method
-            )
-            return dropped
-
-        dropped = 0
-
-        def drop_stale(entries, runs):
-            nonlocal dropped
-            entries.update(self._session_writes)
-            stale = stale_entry_keys(entries, scope, method, spec_digest, library_digest)
-            dropped = len(stale)
-            for key in stale:
-                del entries[key]
-                # an invalidated session write must not be resurrected by a
-                # later rewrite's session merge
-                self._session_writes.pop(key, None)
-            return entries, runs
-
-        with trace.span("store.invalidate", cat="store"):
-            self._adopt(self.backend.update(drop_stale, runs=False))
-        self._pending.clear()
+        for key in local_stale:
+            del self._entries[key]
+            # an invalidated session write must not be resurrected by a later
+            # rewrite's session merge
+            self._session_writes.pop(key, None)
+            # a dropped key is a *known* miss from here on (remote sessions)
+            self._remote_checked.add(key)
         logger.debug("invalidated %d stale entries for %s.%s", dropped, scope, method)
         return dropped
 
@@ -462,11 +425,12 @@ class ObligationStore:
 
         Appends the set of entry keys this session referenced (store hits and
         fresh writes alike) to the run log — the reference trail :meth:`gc`
-        keeps entries alive by.  The sequence number and the trim are
-        computed against the log as re-read under the exclusive lock, so two
-        processes committing concurrently get distinct sequence numbers and
-        neither overwrites the other's record.  Returns the number of keys
-        recorded; a session that touched nothing records no run.  Shard
+        keeps entries alive by.  The backend takes the sequence number from
+        the log as it is under its exclusive lock (a remote server under its
+        own, with an idempotency key so a retried commit records once), so
+        two processes committing concurrently get distinct sequence numbers
+        and neither overwrites the other's record.  Returns the number of
+        keys recorded; a session that touched nothing records no run.  Shard
         workers never commit runs (the parent absorbs their entries and
         commits on their behalf).
         """
@@ -476,23 +440,8 @@ class ObligationStore:
         self.flush()
         touched = sorted(f"{env}:{fp}" for env, fp in self._touched)
         logger.debug("committing run: %d touched entries", len(touched))
-
-        if self.is_remote:
-            # the server assigns the sequence number under its transaction;
-            # the idempotency key on the RPC keeps a retried commit from
-            # recording the run twice
-            with trace.span("store.commit_run", cat="store", touched=len(touched)):
-                self.backend.commit_run(touched)
-            self._touched.clear()
-            return len(touched)
-
-        def append_run(entries, runs):
-            runs, _ = append_run_record(runs, touched)
-            return entries, runs
-
         with trace.span("store.commit_run", cat="store", touched=len(touched)):
-            state = self.backend.update(append_run, entries=False)
-        self._runs = state.runs
+            self.backend.commit_run(touched)
         self._touched.clear()
         return len(touched)
 
@@ -509,9 +458,10 @@ class ObligationStore:
         entries and runs a concurrent process committed meanwhile are part of
         the sweep, never casualties of a stale snapshot.  Returns the number
         of entries dropped; older run records are dropped from the log too.
+        ``keep_last`` must lie in ``1..MAX_RUN_RECORDS`` (the runs the log
+        holds); anything else raises :class:`ValueError`.
         """
-        if keep_last < 1:
-            raise ValueError("gc requires keep_last >= 1")
+        validate_keep_last(keep_last)
         if self.shard_output is not None:
             return 0
         if self._touched:

@@ -5,11 +5,14 @@ returns for an ``http://``/``https://`` store path, so
 ``--store http://host:port`` works everywhere a path does.  It is *not* a
 drop-in ``StoreBackend``: the local protocol's ``update(fn)`` primitive takes
 a closure, and a closure cannot cross the wire.  Instead the wire protocol
-exposes the store-level operations the closures implement — batched lookup,
-batched append, ``compact``, ``commit_run``, ``gc`` and ``invalidate`` — and
-the server executes each one under the wrapped local backend's existing
-lock/transaction.  :class:`~repro.store.obligation_store.ObligationStore`
-detects ``supports_update = False`` and dispatches to these operations.
+exposes store-level operations — batched lookup, batched append,
+``compact``, ``commit_run``, ``gc`` and ``invalidate`` — and the server
+executes each one under the wrapped local backend's existing
+lock/transaction.  ``invalidate`` and ``commit_run`` have the same shape as
+the local backends' own primitives, so
+:class:`~repro.store.obligation_store.ObligationStore` calls them alike; it
+detects ``supports_update = False`` only to send ``compact``/``gc`` as
+operations instead of closures.
 
 Reliability model:
 

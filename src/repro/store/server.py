@@ -14,9 +14,15 @@ Design notes:
   maintained through its own writes) so lookups cost no disk I/O; mutating
   operations go to the backend *first* — durably, fsynced/transactional —
   and only then update the cache, so a crash at any point loses nothing
-  that was acknowledged.  Read-modify-rewrite operations re-adopt the state
-  the backend re-read under its exclusive lock, which also self-heals the
-  cache if a local process wrote to the files behind the server's back.
+  that was acknowledged.  ``invalidate`` and ``commit_run`` are backend
+  primitives: the backend decides against the store as it is on disk under
+  its lock (an entry a local process appended behind the server's back is
+  invalidated too), a no-op invalidation writes nothing and a commit
+  appends one record; the service then drops the same stale keys from its
+  own cache.  Only the rare whole-store rewrites, ``compact`` and ``gc``,
+  re-adopt the state the backend re-read under its exclusive lock — which
+  is how an operator resynchronises the cache with writes made behind the
+  server's back.
 * Writes carry client idempotency keys; the service remembers recent keys
   (with their responses) and replays the response instead of re-applying the
   write, so a client retrying a request whose *response* was lost cannot
@@ -54,8 +60,14 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
 from ..obs.logs import get_logger
-from .backends import SCHEMA_VERSION, LoadedState, StoreEntry, open_backend
-from .obligation_store import append_run_record, stale_entry_keys, sweep_unreferenced
+from .backends import (
+    MAX_RUN_RECORDS,
+    SCHEMA_VERSION,
+    StoreEntry,
+    open_backend,
+    stale_entry_keys,
+)
+from .obligation_store import sweep_unreferenced, validate_keep_last
 from .queue import QueueItem, WorkQueue
 
 logger = get_logger("store")
@@ -90,7 +102,8 @@ class StoreService:
         self._lock = threading.Lock()
         state = self.backend.load(wipe_mismatch=True)
         self._entries = state.entries
-        self._runs = state.runs
+        #: how many run records the log holds (the handshake/stats figure)
+        self._run_count = len(state.runs)
         self.skipped = state.skipped
         #: client id -> (idempotency key -> replayed response), both LRU
         self._seen: OrderedDict[str, OrderedDict[str, dict]] = OrderedDict()
@@ -113,10 +126,6 @@ class StoreService:
         if self._crash == f"{op}:{when}":  # pragma: no cover - exits the process
             logger.warning("fault injection: crashing %s %s", when, op)
             os._exit(3)
-
-    def _adopt(self, state: LoadedState) -> None:
-        self._entries = state.entries
-        self._runs = state.runs
 
     def _client_keys(self, client: str) -> OrderedDict[str, dict]:
         bucket = self._seen.get(client)
@@ -173,7 +182,7 @@ class StoreService:
             "backend": self.backend.name,
             "path": str(self.backend.path),
             "entries": len(self._entries),
-            "runs": len(self._runs),
+            "runs": self._run_count,
             "skipped": self.skipped,
         }
 
@@ -229,22 +238,10 @@ class StoreService:
         return {"entries": len(self._entries)}
 
     def op_invalidate(self, payload: dict) -> dict:
-        scope = payload["scope"]
-        method = payload["method"]
-        spec_digest = payload["spec"]
-        library_digest = payload["library"]
-        dropped = 0
-
-        def drop_stale(entries, runs):
-            nonlocal dropped
-            stale = stale_entry_keys(entries, scope, method, spec_digest, library_digest)
-            dropped = len(stale)
-            for stale_key in stale:
-                del entries[stale_key]
-            return entries, runs
-
-        state = self.backend.update(drop_stale, runs=False)
-        self._entries = state.entries
+        digests = (payload["scope"], payload["method"], payload["spec"], payload["library"])
+        dropped = self.backend.invalidate(*digests)
+        for stale_key in stale_entry_keys(self._entries, *digests):
+            del self._entries[stale_key]
         return {"dropped": dropped, "entries": len(self._entries)}
 
     def op_commit_run(self, payload: dict) -> dict:
@@ -255,21 +252,12 @@ class StoreService:
             raise ValueError("commit_run needs a 'touched' list of strings")
         if not touched:
             return {"run": 0, "entries": len(self._entries)}
-        sequence = 0
-
-        def append_run(entries, runs):
-            nonlocal sequence
-            runs, sequence = append_run_record(runs, touched)
-            return entries, runs
-
-        state = self.backend.update(append_run, entries=False)
-        self._runs = state.runs
+        sequence = self.backend.commit_run(touched)
+        self._run_count = min(self._run_count + 1, MAX_RUN_RECORDS)
         return {"run": sequence, "entries": len(self._entries)}
 
     def op_gc(self, payload: dict) -> dict:
-        keep_last = payload["keep_last"]
-        if not isinstance(keep_last, int) or keep_last < 1:
-            raise ValueError("gc requires keep_last >= 1")
+        keep_last = validate_keep_last(payload["keep_last"])
         dropped = 0
 
         def sweep(entries, runs):
@@ -278,7 +266,9 @@ class StoreService:
             dropped = len(stale)
             return entries, kept_runs
 
-        self._adopt(self.backend.update(sweep))
+        state = self.backend.update(sweep)
+        self._entries = state.entries
+        self._run_count = len(state.runs)
         return {"dropped": dropped, "entries": len(self._entries)}
 
     # -- the work queue (distributed discharge) -----------------------------------
@@ -378,7 +368,7 @@ class StoreService:
         return {
             "uptime_seconds": round(time.time() - self._started, 3),
             "entries": len(self._entries),
-            "runs": len(self._runs),
+            "runs": self._run_count,
             "ops": ops,
             "lookup": {
                 "requested": self._lookup_requested,

@@ -117,6 +117,16 @@ def test_store_gc_rejects_bad_keep_last(capsys, tmp_path):
     assert "keep_last" in capsys.readouterr().err
 
 
+def test_store_gc_rejects_keep_last_beyond_the_run_log(capsys, tmp_path):
+    # the run log holds the last 256 runs; a larger N used to act as 256
+    # silently, sweeping entries that older runs the user asked to keep
+    # referenced
+    store = str(tmp_path / "store")
+    assert cli_main(["store", "gc", "--keep-last", "257", "--store", store]) == 2
+    err = capsys.readouterr().err
+    assert "keep_last 257" in err and "256" in err
+
+
 # -- scheduling + memo knobs -------------------------------------------------------
 
 

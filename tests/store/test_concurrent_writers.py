@@ -6,6 +6,9 @@ The acceptance suite of the concurrency work, against both backends:
   commit runs against a single store path — afterwards every entry is
   present and intact (zero torn/skipped records) and the run log holds one
   record per writer under distinct sequence numbers;
+* eight forked writers interleave appends with many run commits each —
+  afterwards the run log's sequence numbers are exactly 1..N, none
+  duplicated or lost, and every writer's records are there;
 * real engine runs in concurrent processes (each discharging one shard slice
   of the fast corpus straight into the shared main log) leave a store a warm
   re-run answers with **zero** misses, producing deterministic tables
@@ -94,6 +97,37 @@ def test_eight_writers_lose_nothing(store_path):
     assert [r["run"] for r in merged._runs] == list(range(1, WRITERS + 1)), (
         "every writer's run record survives under its own sequence number"
     )
+
+
+COMMITS_PER_WRITER = 12
+
+
+def _committing_writer(path, index, barrier):
+    store = ObligationStore(path)
+    barrier.wait()
+    for round_ in range(COMMITS_PER_WRITER):
+        store.record(_entry(f"env-{index}", f"r{round_}"))
+        store.commit_run()  # flushes, then appends one run record
+    store.backend.close()
+
+
+def test_racing_run_commits_neither_duplicate_nor_lose_a_sequence(store_path):
+    context = multiprocessing.get_context("fork")
+    barrier = context.Barrier(WRITERS)
+    _run_forked(
+        _committing_writer,
+        [(store_path, index, barrier) for index in range(WRITERS)],
+    )
+
+    runs = ObligationStore(store_path)._runs
+    total = WRITERS * COMMITS_PER_WRITER
+    assert [record["run"] for record in runs] == list(range(1, total + 1)), (
+        "sequence numbers are contiguous: none duplicated, none lost"
+    )
+    touched = sorted(key for record in runs for key in record["touched"])
+    assert touched == sorted(
+        f"env-{w}:r{r}" for w in range(WRITERS) for r in range(COMMITS_PER_WRITER)
+    ), "every commit recorded exactly its own session's key"
 
 
 def _engine_writer(path, index, shards, barrier):
